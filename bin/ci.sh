@@ -7,6 +7,7 @@
 # gate can fail), a bounded protocol-fuzz smoke, a 1000-session
 # concurrent-swarm determinism + isolation smoke, a deterministic
 # trace-export smoke, a byte-identical cost-profile export check, a
+# per-scheme profile check that --scheme selects the instantiation, a
 # byte-identical churn-dashboard export check, and the demo's --metrics
 # and --prometheus reports.  Run from the repository root.
 set -eu
@@ -231,6 +232,19 @@ grep -q 'gcd.handshake.phase3' "$prof1/p.collapsed"
 grep -q 'spk.eq' "$prof1/p.collapsed"
 grep -q '"exporter": "shs_prof"' "$prof1/p.speedscope.json"
 grep -q '"name": "limb words"' "$prof1/p.speedscope.json"
+
+echo "== profile smoke: --scheme selects the instantiation =="
+# --scheme 1 must run ACJT and nothing of KTY; --scheme 2 must run KTY
+dune exec bin/shs_demo.exe -- profile --scheme 1 -m 2 --net-seed 7 \
+  -o "$prof1/s1" > /dev/null
+grep -q 'gsig.acjt.sign' "$prof1/s1.collapsed"
+if grep -q 'gsig\.kty\.' "$prof1/s1.collapsed"; then
+  echo "ci: --scheme 1 profile contains KTY frames" >&2
+  exit 1
+fi
+dune exec bin/shs_demo.exe -- profile --scheme 2 -m 2 --net-seed 7 \
+  -o "$prof1/s2" > /dev/null
+grep -q 'gsig.kty.sign' "$prof1/s2.collapsed"
 
 echo "== obs smoke: shs_demo --metrics =="
 report=$(dune exec bin/shs_demo.exe -- handshake -m 2 --metrics \

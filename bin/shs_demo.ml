@@ -31,29 +31,72 @@ let setup_logging verbose =
 
 let uid_of i = Printf.sprintf "member-%02d" i
 
-type testbed = {
-  ga2 : Scheme2.authority;
-  members : Scheme2.member array;
-}
+(* One GCD deployment as the CLI drives it, selected by --scheme:
+   Scheme 1 (ACJT) with the plain compiler, or Scheme 2 (KTY) with the
+   self-distinction hooks.  Subcommands without a --scheme flag run
+   Scheme 1, the flag's default. *)
+module type DEPLOYMENT = sig
+  type authority
+  type member
+  type participant
 
-(* Scheme 2 subsumes Scheme 1's behaviour when run with default hooks, so
-   the CLI builds on it and selects hooks per --scheme. *)
-let build ~seed ~n =
-  let ga2 = Scheme2.default_authority ~rng:(rng_of seed) () in
+  val default_authority : rng:(int -> string) -> ?capacity:int -> unit -> authority
+
+  val admit :
+    authority -> uid:string -> member_rng:(int -> string) -> (member * string) option
+
+  val remove : authority -> uid:string -> string option
+  val update : member -> string -> bool
+  val participant_of_member : member -> participant
+  val outsider : rng:(int -> string) -> participant
+
+  val trace_user :
+    authority -> sid:string -> (string * string) array -> string option array
+
+  val handshake :
+    authority ->
+    ?faults:Faults.t ->
+    ?watchdog:Gcd_types.watchdog ->
+    ?adversary:Engine.adversary ->
+    participant array ->
+    Gcd_types.session_result
+end
+
+module Deployment1 = struct
+  include Scheme1
+
+  let handshake ga ?faults ?watchdog ?adversary parts =
+    run_session ?faults ?watchdog ?adversary ~fmt:(default_format ga) parts
+end
+
+module Deployment2 = struct
+  include Scheme2
+
+  let handshake ga ?faults ?watchdog ?adversary parts =
+    run_session_sd ?faults ?watchdog ?adversary ~gpub:(group_public ga)
+      ~fmt:(default_format ga) parts
+end
+
+let deployment scheme : (module DEPLOYMENT) =
+  if scheme = 2 then (module Deployment2) else (module Deployment1)
+
+(* a group of [n] members, every admission broadcast applied to the
+   members admitted before it *)
+let build (type a m)
+    (module S : DEPLOYMENT with type authority = a and type member = m) ~seed
+    ~n : a * m array =
+  let ga = S.default_authority ~rng:(rng_of seed) () in
   let members =
     Array.init n (fun i ->
-        let m, upd =
-          match Scheme2.admit ga2 ~uid:(uid_of i) ~member_rng:(rng_of (seed + 100 + i)) with
-          | Some v -> v
-          | None -> failwith "admission failed"
-        in
-        (m, upd))
+        match S.admit ga ~uid:(uid_of i) ~member_rng:(rng_of (seed + 100 + i)) with
+        | Some v -> v
+        | None -> failwith "admission failed")
   in
   Array.iteri
     (fun i (_, upd) ->
-      Array.iteri (fun j (m, _) -> if j < i then assert (Scheme2.update m upd)) members)
+      Array.iteri (fun j (m, _) -> if j < i then assert (S.update m upd)) members)
     members;
-  { ga2; members = Array.map fst members }
+  (ga, Array.map fst members)
 
 (* ------------------------------------------------------------------ *)
 (* handshake                                                           *)
@@ -71,21 +114,20 @@ let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
     Obs.set_events true
   end;
   Printf.printf "Building a group of %d members (512-bit parameters)...\n%!" m;
-  let tb = build ~seed ~n:m in
+  let (module S) = deployment scheme in
+  let ga, members = build (module S) ~seed ~n:m in
   if revoke_last then begin
     let uid = uid_of (m - 1) in
     Printf.printf "Revoking %s...\n%!" uid;
-    match Scheme2.remove tb.ga2 ~uid with
+    match S.remove ga ~uid with
     | None -> failwith "revocation failed"
-    | Some upd -> Array.iter (fun mm -> ignore (Scheme2.update mm upd)) tb.members
+    | Some upd -> Array.iter (fun mm -> ignore (S.update mm upd)) members
   end;
-  let fmt = Scheme2.default_format tb.ga2 in
-  let gpub = Scheme2.group_public tb.ga2 in
   let parts =
     Array.concat
-      [ Array.map Scheme2.participant_of_member tb.members;
-        (if clone then [| Scheme2.participant_of_member tb.members.(m - 1) |] else [||]);
-        Array.init outsiders (fun i -> Scheme2.outsider ~rng:(rng_of (seed + 900 + i)));
+      [ Array.map S.participant_of_member members;
+        (if clone then [| S.participant_of_member members.(m - 1) |] else [||]);
+        Array.init outsiders (fun i -> S.outsider ~rng:(rng_of (seed + 900 + i)));
       ]
   in
   Printf.printf "Running a %d-party handshake (%d members%s%s) under scheme %d...\n%!"
@@ -135,11 +177,7 @@ let run_handshake scheme m outsiders clone revoke_last seed verbose metrics
   end;
   let t0 = Unix.gettimeofday () in
   let adversary = Option.map Adversary.tap adv_plan in
-  let r =
-    if scheme = 2 then
-      Scheme2.run_session_sd ?faults ?watchdog ?adversary ~gpub ~fmt parts
-    else Scheme2.run_session ?faults ?watchdog ?adversary ~fmt parts
-  in
+  let r = S.handshake ga ?faults ?watchdog ?adversary parts in
   let dt = Unix.gettimeofday () -. t0 in
   if metrics then Prof.disable ();
   Array.iteri
@@ -240,8 +278,8 @@ let run_lifecycle n seed =
 (* ------------------------------------------------------------------ *)
 
 let run_trace m seed out drop duplicate jitter net_seed =
-  let tb = build ~seed ~n:m in
-  let fmt = Scheme2.default_format tb.ga2 in
+  let module S = Deployment1 in
+  let ga, members = build (module S) ~seed ~n:m in
   let faulty = drop > 0.0 || duplicate > 0.0 || jitter > 0.0 in
   let faults =
     if faulty then
@@ -256,8 +294,7 @@ let run_trace m seed out drop duplicate jitter net_seed =
      the same command twice yields byte-identical JSON *)
   if out <> None then Obs.set_events true;
   let r =
-    Scheme2.run_session ?faults ?watchdog ~fmt
-      (Array.map Scheme2.participant_of_member tb.members)
+    S.handshake ga ?faults ?watchdog (Array.map S.participant_of_member members)
   in
   (match out with
    | None -> ()
@@ -275,7 +312,7 @@ let run_trace m seed out drop duplicate jitter net_seed =
    | Some o when o.Gcd_types.accepted ->
      Printf.printf "handshake succeeded (sid %s...)\n"
        (String.sub (Sha256.hex o.Gcd_types.sid) 0 16);
-     let traced = Scheme2.trace_user tb.ga2 ~sid:o.Gcd_types.sid o.Gcd_types.transcript in
+     let traced = S.trace_user ga ~sid:o.Gcd_types.sid o.Gcd_types.transcript in
      Array.iteri
        (fun i u ->
          Printf.printf "  position %d opened to: %s\n" i (Option.value ~default:"-" u))
@@ -289,10 +326,9 @@ let run_trace m seed out drop duplicate jitter net_seed =
 
 let run_profile scheme m seed net_seed drop duplicate jitter out weight =
   Printf.printf "Building a group of %d members (512-bit parameters)...\n%!" m;
-  let tb = build ~seed ~n:m in
-  let fmt = Scheme2.default_format tb.ga2 in
-  let gpub = Scheme2.group_public tb.ga2 in
-  let parts = Array.map Scheme2.participant_of_member tb.members in
+  let (module S) = deployment scheme in
+  let ga, members = build (module S) ~seed ~n:m in
+  let parts = Array.map S.participant_of_member members in
   let faulty = drop > 0.0 || duplicate > 0.0 || jitter > 0.0 in
   let faults =
     if faulty then
@@ -307,10 +343,7 @@ let run_profile scheme m seed net_seed drop duplicate jitter out weight =
      bytes, which bin/ci.sh checks with cmp *)
   Prof.reset ();
   Prof.enable ();
-  let r =
-    if scheme = 2 then Scheme2.run_session_sd ?faults ?watchdog ~gpub ~fmt parts
-    else Scheme2.run_session ?faults ?watchdog ~fmt parts
-  in
+  let r = S.handshake ga ?faults ?watchdog parts in
   Prof.disable ();
   let t = Prof.snapshot () in
   let accepted =
@@ -375,11 +408,11 @@ let run_params () =
    so two identical invocations emit byte-identical output. *)
 let run_fuzz m sessions attack_seeds seed drop =
   Printf.printf "Building a group of %d members (512-bit parameters)...\n%!" m;
-  let tb = build ~seed ~n:m in
-  let fmt = Scheme2.default_format tb.ga2 in
-  let parts = Array.map Scheme2.participant_of_member tb.members in
+  let module S = Deployment1 in
+  let ga, members = build (module S) ~seed ~n:m in
+  let parts = Array.map S.participant_of_member members in
   let run_session ~adversary ~faults ~watchdog =
-    Scheme2.run_session ?faults ~watchdog ~adversary ~fmt parts
+    S.handshake ga ?faults ~watchdog ~adversary parts
   in
   let violations = ref 0 in
   List.iter
@@ -856,8 +889,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a handshake, open the transcript as the authority, and \
-          optionally export the event timeline ($(b,-o)).")
+         "Run a Scheme 1 (ACJT) handshake, open the transcript as the \
+          authority, and optionally export the event timeline ($(b,-o)).")
     Term.(
       const run_trace $ m_t $ seed_t $ out_t $ drop_t $ duplicate_t $ jitter_t
       $ net_seed_t)
@@ -955,8 +988,8 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Drive many handshake sessions through the active message-mutation \
-          adversary and check the Byzantine-hardening invariants: no uncaught \
+         "Drive many Scheme 1 (ACJT) handshake sessions through the active \
+          message-mutation adversary and check the Byzantine-hardening invariants: no uncaught \
           exception, every party terminal, honest subsets complete.  Output \
           is a pure function of the seeds; exits 1 on any violation.")
     Term.(

@@ -269,7 +269,8 @@ let run ?world:prebuilt ?fault_scope ?attack_scope cfg =
          latencies :=
            (r.Shs_engine.r_finished -. r.Shs_engine.r_admitted) :: !latencies
        | Shs_engine.Shed -> incr shed
-       | Shs_engine.Poisoned -> incr poisoned);
+       | Shs_engine.Poisoned -> incr poisoned
+       | Shs_engine.Stalled -> ()  (* every session has a watchdog *));
       if fully then incr full;
       if fault_scope r.Shs_engine.r_sid || attack_scope r.Shs_engine.r_sid then
         incr targeted

@@ -40,21 +40,6 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
   (* metrics: span names are shared across instantiations so the trace
      tree aggregates by protocol phase, not by scheme *)
   let sessions_counter = Obs.counter ~help:"handshake sessions run" "gcd.sessions"
-
-  (* live levels for the telemetry recorder: how many sessions are in
-     flight, and where their parties sit in the protocol.  A single
-     [run_session] drives one session at a time today; the concurrent
-     engine these gauges anticipate will hold many *)
-  let live_sessions_gauge =
-    Obs.gauge ~help:"handshake sessions currently running" "gcd.sessions.live"
-  let phase_gauges =
-    Array.init 4 (fun i ->
-        Obs.gauge
-          ~help:(Printf.sprintf "live handshake parties currently in phase %d" i)
-          (Printf.sprintf "gcd.live.phase%d" i))
-  let retransmissions_counter =
-    Obs.counter ~help:"handshake messages retransmitted by the watchdog"
-      "gcd.retransmissions"
   let timeouts_counter =
     Obs.counter ~help:"handshake phase timeouts forced by the watchdog"
       "gcd.timeouts"
@@ -274,13 +259,13 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
     else 0
 
   (* move the party between the live-phase gauges after a transition;
-     [run_session] registers parties at phase 0 and deregisters whatever
-     phase they ended in at teardown *)
+     the session runtime registers seats at phase 0 and deregisters
+     whatever phase they ended in when it reaps the session *)
   let track_phase p =
     let ph = phase_of p in
     if ph <> p.obs_phase then begin
-      Obs.gauge_sub phase_gauges.(p.obs_phase) 1;
-      Obs.gauge_add phase_gauges.(ph) 1;
+      Obs.gauge_sub Gcd_types.phase_gauges.(p.obs_phase) 1;
+      Obs.gauge_add Gcd_types.phase_gauges.(ph) 1;
       p.obs_phase <- ph
     end
 
@@ -484,8 +469,7 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
          that crossed the finish line, duplicates, adversarial replays —
          is stale.  Counted, never acted on; the wire behavior (silence)
          is identical to the pre-hardening code. *)
-      Shs_error.reject ~layer:"gcd" Shs_error.Stale
-        ~args:[ ("party", string_of_int p.self); ("src", string_of_int src) ];
+      Gcd_types.reject_stale ~party:p.self ~src;
       []
     end
     else
@@ -607,149 +591,11 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
   let participant_of_member m = { p_role = Member_of m; p_rng = m.m_rng }
   let outsider ~rng = { p_role = Outsider; p_rng = rng }
 
-  let run_session ?faults ?watchdog ?adversary ?latency ?(allow_partial = true)
-      ?(two_phase = false) ?(hooks = default_hooks) ~fmt participants =
-    let n = Array.length participants in
-    if n < 2 then invalid_arg "Gcd.run_session: need at least two parties";
-    Obs.incr sessions_counter;
-    let net = Engine.create ?adversary ?latency ?faults ~n () in
-    (* event timelines run on sim time, one trace id per session; the
-       engine stamps both into every message envelope *)
-    if Obs.events_enabled () then begin
-      Obs.set_event_clock (fun () -> Sim.now (Engine.sim net));
-      ignore (Obs.new_trace ())
-    end;
-    Obs.span "gcd.handshake" @@ fun () ->
-    let parties =
-      Array.mapi
-        (fun self pt ->
-          make_party ~role:pt.p_role ~self ~n ~fmt ~hooks ~allow_partial
-            ~two_phase ~rng:pt.p_rng)
-        participants
-    in
-    (* register on the live gauges; the finally arm deregisters whatever
-       phase each party ended in, so a raising session (the fuzzer
-       injects raising adversaries) cannot leak gauge population *)
-    Obs.gauge_add live_sessions_gauge 1;
-    Array.iter (fun p -> Obs.gauge_add phase_gauges.(p.obs_phase) 1) parties;
-    (* per-party send history, for watchdog retransmission: the protocol
-       state machines ignore exact duplicates, so replaying everything a
-       party ever said is safe and repairs any earlier loss.  Bounded
-       (stale-phase eviction + hard cap, see {!Retx}) so concurrent
-       sessions never hold unbounded byte buffers. *)
-    let history = Array.init n (fun _ -> Retx.create ()) in
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.gauge_sub live_sessions_gauge 1;
-        Array.iter Retx.clear history;
-        Array.iter
-          (fun p -> Obs.gauge_sub phase_gauges.(p.obs_phase) 1)
-          parties)
-    @@ fun () ->
-    let emit self msgs =
-      Retx.record history.(self) ~phase:(phase_of parties.(self)) msgs;
-      if parties.(self).outcome <> None then Retx.clear history.(self);
-      List.iter
-        (fun (dst, payload) ->
-          match dst with
-          | None -> Engine.broadcast net ~src:self payload
-          | Some dst -> Engine.send net ~src:self ~dst payload)
-        msgs
-    in
-    Array.iteri
-      (fun self party ->
-        Engine.set_receiver net self (fun ~src ~payload ->
-            emit self (receive party ~src payload)))
-      parties;
-    (* Session watchdog: per-party timers on the Sim clock.  While the
-       party's phase marker advances, the timer just re-arms; a stalled
-       phase is retransmitted [max_retransmits] times with exponential
-       backoff, then forced forward.  Each party therefore reaches a
-       terminal outcome (complete / partial / aborted) within a bounded
-       number of timer events — no session can hang. *)
-    (match watchdog with
-     | None -> ()
-     | Some wd ->
-       if
-         not
-           (wd.Gcd_types.retransmit_after > 0.0
-           && wd.Gcd_types.backoff >= 1.0
-           && wd.Gcd_types.phase_grace >= 0)
-       then invalid_arg "Gcd.run_session: bad watchdog policy";
-       let sim = Engine.sim net in
-       let resend self =
-         (* frames below every peer's current phase can repair nothing
-            anymore: drop them before replaying what remains *)
-         let min_peer_phase = ref 3 in
-         Array.iteri
-           (fun j p ->
-             if j <> self then min_peer_phase := min !min_peer_phase (phase_of p))
-           parties;
-         Retx.evict_stale history.(self) ~min_peer_phase:!min_peer_phase;
-         let frames = Retx.frames history.(self) in
-         Obs.add retransmissions_counter (List.length frames);
-         if Obs.events_enabled () then
-           Obs.instant "gcd.retransmit"
-             ~args:
-               [ ("party", string_of_int self);
-                 ("msgs", string_of_int (List.length frames)) ];
-         List.iter
-           (fun (dst, payload) ->
-             match dst with
-             | None -> Engine.broadcast net ~src:self payload
-             | Some dst -> Engine.send net ~src:self ~dst payload)
-           frames
-       in
-       let rec arm self ~phase ~attempt ~delay =
-         Sim.schedule sim ~delay (fun () ->
-             if Obs.events_enabled () then
-               Obs.set_track ("party-" ^ string_of_int self);
-             let p = parties.(self) in
-             if p.outcome = None then begin
-               let now_phase = phase_of p in
-               if now_phase > phase then
-                 (* progress since the last tick: fresh timer for the new
-                    phase *)
-                 arm self ~phase:now_phase ~attempt:0
-                   ~delay:wd.Gcd_types.retransmit_after
-               else if
-                 attempt
-                 < wd.Gcd_types.max_retransmits
-                   + (wd.Gcd_types.phase_grace * phase)
-               then begin
-                 resend self;
-                 arm self ~phase ~attempt:(attempt + 1)
-                   ~delay:(delay *. wd.Gcd_types.backoff)
-               end
-               else begin
-                 emit self (force_progress p);
-                 if p.outcome = None then
-                   arm self ~phase:(phase_of p) ~attempt:0
-                     ~delay:wd.Gcd_types.retransmit_after
-               end
-             end)
-       in
-       Array.iteri
-         (fun self _ ->
-           arm self ~phase:0 ~attempt:0 ~delay:wd.Gcd_types.retransmit_after)
-         parties);
-    Array.iteri
-      (fun self party ->
-        if Obs.events_enabled () then
-          Obs.set_track ("party-" ^ string_of_int self);
-        emit self (start party))
-      parties;
-    Engine.run net;
-    { Gcd_types.outcomes = Array.map outcome parties;
-      stats = Engine.stats net;
-      duration = Sim.now (Engine.sim net);
-    }
-
-  (* A scheme-erased handle for the concurrent-session scheduler
-     ({!Shs_engine}): the engine drives seats by index, so the abstract
-     [party] type never leaves the functor.  Parties are created here —
-     callers that must not pay the DGKA setup cost for sessions that may
-     be refused admission should defer the call (the scheduler takes a
+  (* A scheme-erased handle for the session runtime ({!Shs_engine}): the
+     engine drives seats by index, so the abstract [party] type never
+     leaves the functor.  Parties are created here — callers that must
+     not pay the DGKA setup cost for sessions that may be refused
+     admission should defer the call (the scheduler takes a
      [unit -> driver] thunk for exactly that reason). *)
   let engine_driver ?(allow_partial = true) ?(two_phase = false)
       ?(hooks = default_hooks) ~fmt participants =
@@ -770,6 +616,40 @@ module Make (G : Gsig_intf.S) (C : Cgkd_intf.S) (D : Dgka_intf.S) = struct
       dr_phase = (fun self -> phase_of parties.(self));
       dr_obs_phase = (fun self -> parties.(self).obs_phase);
     }
+
+  (* One session over the simulated network: a one-session submission to
+     a fresh engine that admits it, never sheds it and services every
+     delivery on arrival.  Without a watchdog a lossy session can stall;
+     its non-terminal seats then read [None].  An exception that
+     poisoned the session is re-raised here. *)
+  let run_session ?faults ?watchdog ?adversary ?latency ?allow_partial
+      ?two_phase ?hooks ~fmt participants =
+    Obs.incr sessions_counter;
+    let engine =
+      Shs_engine.create
+        ~config:
+          { Shs_engine.high_water = 1;
+            shards = 1;
+            inbox_capacity = max_int;
+            service_time = 0.0;
+            deadline = infinity;
+            watchdog;
+          }
+        ()
+    in
+    Obs.span "gcd.handshake" @@ fun () ->
+    ignore
+      (Shs_engine.submit engine ?faults ?adversary ?latency (fun () ->
+           engine_driver ?allow_partial ?two_phase ?hooks ~fmt participants));
+    Shs_engine.run engine;
+    match Shs_engine.reports engine with
+    | [ r ] ->
+      Option.iter raise r.Shs_engine.r_exn;
+      { Gcd_types.outcomes = r.Shs_engine.r_outcomes;
+        stats = r.Shs_engine.r_stats;
+        duration = Sim.now (Shs_engine.sim engine);
+      }
+    | _ -> invalid_arg "Gcd.run_session: the session was not reaped"
 
   (* ---------------------------------------------------------------- *)
   (* GCD.TraceUser                                                     *)

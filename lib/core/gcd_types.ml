@@ -1,4 +1,6 @@
-(** Types shared by every GCD instantiation.
+(** Types shared by every GCD instantiation, plus the few values the
+    party state machines ({!Gcd.Make}) and the session runtime
+    ({!Shs_engine}) both use.
 
     These live outside the {!Gcd.Make} functor so that code generic over
     schemes (tests, benches, the CLI) can speak about handshake outcomes
@@ -70,6 +72,29 @@ let default_watchdog =
   { retransmit_after = 8.0; backoff = 2.0; max_retransmits = 3; phase_grace = 0 }
 
 let byzantine_watchdog = { default_watchdog with phase_grace = 1 }
+
+(** The one validity check for a watchdog policy: a positive period, a
+    non-shrinking backoff and a non-negative grace. *)
+let check_watchdog wd =
+  if not (wd.retransmit_after > 0.0 && wd.backoff >= 1.0 && wd.phase_grace >= 0)
+  then invalid_arg "Gcd_types.check_watchdog: bad watchdog policy"
+
+(** Live handshake parties per protocol phase.  The session runtime
+    ({!Shs_engine}) adds each seat at admission and removes it, from
+    whatever phase it ended in, at reaping; the party state machine moves
+    it between phases as it progresses. *)
+let phase_gauges =
+  Array.init 4 (fun i ->
+      Obs.gauge
+        ~help:(Printf.sprintf "live handshake parties currently in phase %d" i)
+        (Printf.sprintf "gcd.live.phase%d" i))
+
+(** Count a message that reached a seat after it terminated — watchdog
+    retransmissions that crossed the finish line, duplicates, replays.
+    Stale, never acted on. *)
+let reject_stale ~party ~src =
+  Shs_error.reject ~layer:"gcd" Shs_error.Stale
+    ~args:[ ("party", string_of_int party); ("src", string_of_int src) ]
 
 type session_result = {
   outcomes : outcome option array;

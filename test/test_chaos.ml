@@ -148,7 +148,7 @@ let test_bad_watchdog_policy () =
       phase_grace = 0 }
   in
   Alcotest.check_raises "zero period rejected"
-    (Invalid_argument "Gcd.run_session: bad watchdog policy")
+    (Invalid_argument "Gcd_types.check_watchdog: bad watchdog policy")
     (fun () -> ignore (W.handshake ~watchdog:wd w [ "m0"; "m1" ]))
 
 let () =
